@@ -162,10 +162,11 @@
 // orphaned messages into surviving groups under remapped identities, and
 // archives its namespace to stable storage (ReapRetired deletes the
 // archives once they are no longer wanted). Each transition bumps a
-// topology epoch; the consistent-hash router swaps atomically under the
-// epoch, Broadcast transparently re-routes keys addressed to a sealed
-// group, and the merged cursor splices the epochs deterministically — the
-// global sequence is identical on every process across the transition.
+// topology epoch; the topology, the consistent-hash router and the group
+// nodes are published together as one view per epoch, Broadcast
+// transparently re-routes keys addressed to a sealed group, and the merged
+// cursor splices the epochs deterministically — the global sequence is
+// identical on every process across the transition.
 //
 // Resharding folds in a cluster-wide GC floor: every group's digest
 // gossip carries the process's durable (checkpoint-covered) merge
@@ -200,7 +201,8 @@
 //		p.Start(ctx)
 //	}
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// See examples/ for runnable programs and the README ("Performance
+// layers", "Sharding", "Elastic resharding") for the architecture.
 package abcast
 
 import (

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/abcast"
+	grp "repro/internal/group"
 )
 
 // awaitGroupKnown polls until every process's topology includes g as an
@@ -404,8 +406,15 @@ func TestShardedReshardRestart(t *testing.T) {
 			}
 			procs[p] = s
 		}
+		// Start every process at once: after the whole-cluster crash a
+		// round may still be in flight, and a replaying process waits for
+		// a majority decision from peers that must be starting too.
+		errs := make(chan error, n)
 		for _, s := range procs {
-			if err := s.Start(ctx); err != nil {
+			go func(s *abcast.Sharded) { errs <- s.Start(ctx) }(s)
+		}
+		for range procs {
+			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -470,4 +479,126 @@ func TestShardedReshardRestart(t *testing.T) {
 		}
 		return fmt.Errorf("post-restart delivery not merged yet")
 	})
+}
+
+// routesTo reports whether s's router places some key on g.
+func routesTo(s *abcast.Sharded, g abcast.GroupID) bool {
+	for i := 0; i < 4096; i++ {
+		if s.Route(fmt.Appendf(nil, "key-%d", i)) == g {
+			return true
+		}
+	}
+	return false
+}
+
+// checkJoinedView fails unless every topology reader of s agrees that g
+// joined past epoch0 and g's node accepts broadcasts.
+func checkJoinedView(ctx context.Context, t *testing.T, p int, s *abcast.Sharded, g abcast.GroupID, epoch0 uint64) {
+	t.Helper()
+	if e := s.Epoch(); e <= epoch0 {
+		t.Fatalf("p%d: epoch %d did not advance past %d", p, e, epoch0)
+	}
+	if !s.InTopology(g) {
+		t.Fatalf("p%d: InTopology(%v) false", p, g)
+	}
+	active := s.ActiveGroups()
+	if len(active) == 0 || active[len(active)-1] != g {
+		t.Fatalf("p%d: active groups %v lack %v", p, active, g)
+	}
+	if s.Groups() <= int(g) {
+		t.Fatalf("p%d: Groups() = %d does not cover %v", p, s.Groups(), g)
+	}
+	if !routesTo(s, g) {
+		t.Fatalf("p%d: router places no key on %v", p, g)
+	}
+	if _, err := s.BroadcastTo(ctx, g, fmt.Appendf(nil, "p%d-after-join", p)); err != nil {
+		t.Fatalf("p%d: broadcast to joined group: %v", p, err)
+	}
+}
+
+// TestShardedJoinViewConsistent delays every topology install and checks
+// that the readers never see a torn topology: once AddGroup returns, the
+// caller's Epoch, Route, ActiveGroups, InTopology and Groups all include
+// the new group and its node is up, and a peer that lists the group as
+// active can already broadcast on it.
+func TestShardedJoinViewConsistent(t *testing.T) {
+	const n, groups = 3, 2
+	net := abcast.NewMemNetwork(n, abcast.MemNetOptions{Seed: 5})
+	defer net.Close()
+	snet := abcast.NewShardedNetwork(net, groups)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	procs := make([]*abcast.Sharded, n)
+	for p := range procs {
+		s, err := abcast.NewSharded(abcast.ShardedConfig{
+			PID: abcast.ProcessID(p), N: n,
+			Protocol: abcast.ProtocolOptions{IdleHeartbeat: 5 * time.Millisecond},
+		}, abcast.NewMemStorage(), snet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abcast.SetInstallDelay(s, 50*time.Millisecond)
+		if err := s.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		defer s.Crash()
+		procs[p] = s
+	}
+
+	epoch0 := procs[0].Epoch()
+	gid, err := procs[0].AddGroup(ctx)
+	if err != nil {
+		t.Fatalf("AddGroup: %v", err)
+	}
+	checkJoinedView(ctx, t, 0, procs[0], gid, epoch0)
+	for p := 1; p < n; p++ {
+		s := procs[p]
+		deadline := time.Now().Add(20 * time.Second)
+		for !slices.Contains(s.ActiveGroups(), gid) {
+			if time.Now().After(deadline) {
+				t.Fatalf("p%d never listed %v as active", p, gid)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		checkJoinedView(ctx, t, p, s, gid, epoch0)
+	}
+}
+
+// TestShardedTopologyInstallMonotone hands a process two topology
+// transitions out of order, the newer first: the stale one must neither
+// lower the published epoch nor overwrite the persisted topology.
+func TestShardedTopologyInstallMonotone(t *testing.T) {
+	net := abcast.NewMemNetwork(3, abcast.MemNetOptions{Seed: 9})
+	defer net.Close()
+	snet := abcast.NewShardedNetwork(net, 2)
+	st := abcast.NewMemStorage()
+	cfg := abcast.ShardedConfig{PID: 0, N: 3}
+	s, err := abcast.NewSharded(cfg, st, snet)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	older := grp.NewStaticTopology(2)
+	older.ApplySeal(1, 5, 1)
+	newer := older.Clone()
+	newer.ApplyJoin(0, 7, 2)
+	abcast.InstallTopology(s, newer)
+	abcast.InstallTopology(s, older)
+
+	check := func(what string, s *abcast.Sharded) {
+		t.Helper()
+		if e := s.Epoch(); e != newer.Epoch {
+			t.Fatalf("%s epoch = %d; want %d", what, e, newer.Epoch)
+		}
+		if got := s.ActiveGroups(); !slices.Equal(got, []abcast.GroupID{0, 2}) {
+			t.Fatalf("%s active groups = %v; want [0 2]", what, got)
+		}
+	}
+	check("published", s)
+	// The persisted topology is what a restart rebuilds from.
+	restarted, err := abcast.NewSharded(cfg, st, snet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("persisted", restarted)
 }

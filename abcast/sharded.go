@@ -217,31 +217,39 @@ const (
 type Sharded struct {
 	cfg     ShardedConfig
 	net     *ShardedNetwork
-	shared  Storage // nil when every group store came from the hook
-	epochSt Storage // pinned at construction; holds process-level cells
+	shared  Storage       // nil when every group store came from the hook
+	epochSt Storage       // pinned at construction; holds process-level cells
 	stream  *group.Stream // per-round fan-out driving Merged/MergeCursor
 	floors  *group.FloorTracker
 	peers   []ids.ProcessID // every process but this one
 	rm      reshardMetrics
 
-	// ns is the copy-on-write (nodes, stores) pair, swapped under mu;
-	// router/topoEnc are the broadcast hot path's view of the topology,
-	// swapped by the stream's topology hook.
-	ns      atomic.Pointer[nodeSet]
-	router  atomic.Pointer[routerEpoch]
-	topoEnc atomic.Pointer[topoDescriptor]
+	// view is the one published topology snapshot: every reader of the
+	// topology, the router or the node set loads it. Only publishLocked
+	// replaces it. pending is the highest-epoch topology the stream has
+	// announced; the installer turns it into a view.
+	view    atomic.Pointer[topoView]
+	pending atomic.Pointer[group.Topology]
 
-	mu       sync.Mutex
-	up       bool
-	startCtx context.Context  // last Start context, for nodes spliced in live
-	sfd      *node.SharedFD   // live process-level failure detector (nil when down)
-	sring    *node.SharedRing // live process-level payload ring (nil when down or ring mode off)
-	reaped   map[GroupID]bool
-	seen     map[GroupID]group.Span // last observed topology (edge-detects seals/joins)
+	// topoMu serializes every view publish — topology installs with the
+	// node builds and boots they imply, AddGroup's local node, reaps — and
+	// Start, so a boot never interleaves with a publish.
+	topoMu sync.Mutex
+	reaped map[GroupID]bool // guarded by topoMu
 
-	// reshardMu serializes AddGroup / RetireGroup / ReapRetired. It is
-	// never taken by the topology hook, which runs on delivery goroutines
-	// while a reshard call may be blocked broadcasting a marker.
+	// installHook, when set before Start, runs at the head of every
+	// topology install (a test seam for delaying installs).
+	installHook func()
+
+	mu          sync.Mutex
+	up          bool
+	startCtx    context.Context    // last Start context, for nodes spliced in live
+	cancelStart context.CancelFunc // cancels startCtx; Crash aborts in-flight boots
+	sfd         *node.SharedFD     // live process-level failure detector (nil when down)
+	sring       *node.SharedRing   // live process-level payload ring (nil when down or ring mode off)
+
+	// reshardMu serializes AddGroup / RetireGroup / ReapRetired. Lock
+	// order: reshardMu, topoMu, mu.
 	reshardMu sync.Mutex
 
 	// tuner is the process's single adaptive controller (nil unless
@@ -250,25 +258,19 @@ type Sharded struct {
 	tuner *tune.Controller
 }
 
-// nodeSet is the immutable (nodes, stores) snapshot read by every hot
-// path; mutations copy and swap under Sharded.mu. Index is the GroupID;
-// nil entries are reaped groups.
-type nodeSet struct {
-	nodes  []*node.Node
-	stores []Storage
-}
-
-// routerEpoch pairs the live router with the topology epoch it was built
-// from (the "swap under an epoch number" of live resharding).
-type routerEpoch struct {
-	r     Router
-	epoch uint64
-}
-
-// topoDescriptor caches the encoded topology the floor gossip carries.
-type topoDescriptor struct {
-	epoch uint64
-	enc   []byte
+// topoView is an immutable snapshot of everything Sharded derives from the
+// topology: the agreed topology, the router and the gossip descriptor
+// built from it, and the group nodes hosting it. A view that lists a
+// group also carries its node (unless reaped), and on an up process that
+// node has already been started; a node may precede its group's JOIN (the
+// AddGroup caller boots its member before announcing).
+type topoView struct {
+	topo   *group.Topology
+	router Router
+	enc    []byte        // topo.Encode(): the floor gossip's descriptor
+	nodes  []*node.Node  // indexed by GroupID; nil = reaped or not hosted
+	stores []Storage     // parallel to nodes
+	next   chan struct{} // closed when a newer view replaces this one
 }
 
 // reshardMetrics are the "abcast.reshard.*" registry entries (all nil
@@ -328,7 +330,6 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 		net:    net,
 		shared: st,
 		reaped: make(map[GroupID]bool),
-		seen:   make(map[GroupID]group.Span),
 	}
 	for p := 0; p < cfg.N; p++ {
 		if pid := ids.ProcessID(p); pid != cfg.PID {
@@ -395,7 +396,7 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 		}
 	}
 	net.Grow(maxG)
-	ns := &nodeSet{nodes: make([]*node.Node, maxG), stores: make([]Storage, maxG)}
+	nodes, stores := make([]*node.Node, maxG), make([]Storage, maxG)
 	for g := 0; g < maxG; g++ {
 		gid := GroupID(g)
 		if s.reaped[gid] {
@@ -411,13 +412,10 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 		if err != nil {
 			return nil, err
 		}
-		ns.nodes[g], ns.stores[g] = n, gst
+		nodes[g], stores[g] = n, gst
 	}
-	s.ns.Store(ns)
-	for g, sp := range topo.Spans {
-		s.seen[g] = sp
-	}
-	s.installTopology(topo)
+	s.view.Store(s.newView(nil, topo, nodes, stores))
+	s.pending.Store(topo)
 	s.stream.SetOnTopology(s.onTopology)
 
 	if cfg.Protocol.Adaptive {
@@ -431,7 +429,7 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range ns.nodes {
+		for _, n := range nodes {
 			if n != nil {
 				ctl.AddGroup(node.TuneGroup(n))
 			}
@@ -442,7 +440,7 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 			}
 		} else {
 			seen := make(map[*storage.WAL]bool)
-			for g, gst := range ns.stores {
+			for g, gst := range stores {
 				if gst == nil {
 					continue
 				}
@@ -578,24 +576,28 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node, error) {
 		// G groups cost one successor stream, not G.
 		ncfg.SharedRing = s.ringView
 	}
-	return gst, node.New(ncfg, gst, s.net.Net(gid)), nil
+	n := node.New(ncfg, gst, s.net.Net(gid))
+	if s.tuner != nil {
+		s.tuner.AddGroup(node.TuneGroup(n))
+	}
+	return gst, n, nil
 }
 
 // floorSelf is every group's core.Config.FloorSelf hook: the process-wide
-// merge frontier plus the cached topology descriptor.
+// merge frontier plus the published topology descriptor.
 func (s *Sharded) floorSelf() (uint64, uint64, []byte) {
-	td := s.topoEnc.Load()
+	v := s.view.Load()
 	// The gossiped floor is the DURABLE frontier — the prefix this
 	// process recovers from its own storage after a crash. Reporting the
 	// in-memory frontier would let peers discard rounds committed here
 	// since the last checkpoint, which a crash sends this process right
 	// back to needing.
-	return s.stream.DurableFrontier(), td.epoch, td.enc
+	return s.stream.DurableFrontier(), v.topo.Epoch, v.enc
 }
 
 // onPeerFloor is every group's core.Config.OnPeerFloor hook.
 func (s *Sharded) onPeerFloor(from ids.ProcessID, floor uint64, epoch uint64, topo []byte) {
-	s.floors.Report(from, floor, epoch, topo)
+	s.floors.Report(from, floor)
 	if epoch > s.stream.Epoch() && len(topo) > 0 {
 		if t, err := group.DecodeTopology(topo); err == nil {
 			s.stream.AdoptTopology(t)
@@ -603,166 +605,187 @@ func (s *Sharded) onPeerFloor(from ids.ProcessID, floor uint64, epoch uint64, to
 	}
 }
 
-// installTopology refreshes the hot-path topology views: the router ring
-// (unless the config pinned a custom router) and the encoded descriptor
-// the floor gossip carries.
-func (s *Sharded) installTopology(t *group.Topology) {
-	r := s.cfg.Router
-	if r == nil {
-		r = group.NewHashRouterOver(t.Active())
+// newView derives the view of topology t over the given node set, reusing
+// prev's router and descriptor when the topology is unchanged.
+func (s *Sharded) newView(prev *topoView, t *group.Topology, nodes []*node.Node, stores []Storage) *topoView {
+	v := &topoView{topo: t, nodes: nodes, stores: stores, next: make(chan struct{})}
+	if prev != nil && prev.topo == t {
+		v.router, v.enc = prev.router, prev.enc
+		return v
 	}
-	s.router.Store(&routerEpoch{r: r, epoch: t.Epoch})
-	s.topoEnc.Store(&topoDescriptor{epoch: t.Epoch, enc: t.Encode()})
+	v.router = s.cfg.Router
+	if v.router == nil {
+		v.router = group.NewHashRouterOver(t.Active())
+	}
+	v.enc = t.Encode()
+	return v
+}
+
+// publishLocked installs v as the current view and wakes every awaitView
+// caller parked on the previous one. topoMu held.
+func (s *Sharded) publishLocked(v *topoView) {
 	if s.rm.epoch != nil {
-		s.rm.epoch.Set(int64(t.Epoch))
+		s.rm.epoch.Set(int64(v.topo.Epoch))
+	}
+	close(s.view.Swap(v).next)
+}
+
+// awaitView blocks until the published view satisfies ok and returns it.
+func (s *Sharded) awaitView(ctx context.Context, ok func(*topoView) bool) (*topoView, error) {
+	for {
+		v := s.view.Load()
+		if ok(v) {
+			return v, nil
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-v.next:
+		}
 	}
 }
 
-// onTopology runs (outside the stream lock, on a delivery or gossip
-// goroutine) after every topology transition: it swaps the router under
-// the new epoch, persists the topology, seals the protocols of newly
-// sealed groups, splices in nodes for newly joined groups, and stamps the
-// flight recorder. It must never take reshardMu (a reshard call may be
-// blocked broadcasting the very marker that triggered it).
+// onTopology is the stream's topology hook. It runs outside the stream
+// lock on delivery and gossip goroutines, and concurrent transitions may
+// call it out of epoch order. Seals act at once, on the committing
+// goroutine: the drain-window argument needs a group's sequencer sealed
+// before it proposes past the SEAL marker's round. Everything else is the
+// installer's job; it runs on its own goroutine because it may boot nodes,
+// which blocks through replay. That goroutine ends with its install; a
+// boot it is blocked in ends at the next Crash, which cancels startCtx.
 func (s *Sharded) onTopology(t *group.Topology) {
-	s.installTopology(t)
-	if err := s.epochSt.Put(keyTopo, t.Encode()); err != nil {
+	sealAll(t, s.view.Load())
+	for {
+		p := s.pending.Load()
+		if p.Epoch >= t.Epoch || s.pending.CompareAndSwap(p, t) {
+			break
+		}
+	}
+	go s.install()
+}
+
+// install publishes the pending topology unless an equal or newer epoch is
+// already installed, so the view's epoch, like the persisted topology,
+// never moves backwards. It persists the topology, builds a node for every
+// group it newly lists and, on an up process, boots that node before the
+// view carrying it is published.
+func (s *Sharded) install() {
+	s.topoMu.Lock()
+	defer s.topoMu.Unlock()
+	t, prev := s.pending.Load(), s.view.Load()
+	if t.Epoch <= prev.topo.Epoch {
+		return
+	}
+	if s.installHook != nil {
+		s.installHook()
+	}
+	gs, maxG := t.Groups(), 0
+	for _, g := range gs {
+		maxG = max(maxG, int(g)+1)
+	}
+	s.net.Grow(maxG)
+	nodes, stores := prev.grown(maxG)
+	var built []*node.Node
+	for _, g := range gs {
+		// Seal and join edges are the difference to the previous view.
+		sp := t.Spans[g]
+		old, known := prev.topo.Spans[g]
+		if !known {
+			s.flight().Event(obs.EvReshardJoin, g, 0, int64(g), int64(sp.Offset), "")
+		}
+		if sp.Sealed && !old.Sealed {
+			s.flight().Event(obs.EvReshardSeal, g, sp.Final, int64(t.Epoch), 0, "")
+		}
+		if nodes[g] != nil || s.reaped[g] || sp.Sealed && s.stream.Drained(g) {
+			continue // hosted, reaped, or drained before we ever hosted it
+		}
+		gst, n, err := s.buildGroup(g)
+		if err != nil {
+			s.flight().Event(obs.EvViolation, g, 0, 0, 0, "build group: "+err.Error())
+			continue
+		}
+		nodes[g], stores[g] = n, gst
+		built = append(built, n)
+	}
+	v := s.newView(prev, t, nodes, stores)
+	if err := s.epochSt.Put(keyTopo, v.enc); err != nil {
 		s.flight().Event(obs.EvViolation, -1, 0, 0, 0, "persist topology: "+err.Error())
 	}
-
-	// Edge-detect transitions against the last observed spans.
-	s.mu.Lock()
-	var sealed, joined []GroupID
-	for g, sp := range t.Spans {
-		prev, known := s.seen[g]
-		if !known {
-			joined = append(joined, g)
-		}
-		if sp.Sealed && (!known || !prev.Sealed) {
-			sealed = append(sealed, g)
-		}
-		s.seen[g] = sp
-	}
-	s.mu.Unlock()
-	sort.Slice(joined, func(i, j int) bool { return joined[i] < joined[j] })
-
-	for _, g := range sealed {
-		sp := t.Spans[g]
-		s.flight().Event(obs.EvReshardSeal, g, sp.Final, int64(t.Epoch), 0, "")
-		if p := s.protoAt(g); p != nil {
-			p.Seal(sp.Final)
-		}
-	}
-	for _, g := range joined {
-		sp := t.Spans[g]
-		s.flight().Event(obs.EvReshardJoin, g, 0, int64(g), int64(sp.Offset), "")
-	}
-	if len(joined) > 0 {
-		s.ensureGroups(t)
-	}
+	// A boot that failed (the process crashed meanwhile) is redone by the
+	// next Start.
+	_ = s.publishBootedLocked(v, built)
 }
 
-// nodeAt returns group g's node (nil when reaped or unknown).
-func (s *Sharded) nodeAt(g GroupID) *node.Node {
-	ns := s.ns.Load()
-	if g < 0 || int(g) >= len(ns.nodes) {
-		return nil
+// publishBootedLocked starts built — nodes v adds — when the process is
+// up, then publishes v and re-arms its seals. topoMu held, so Start cannot
+// interleave. A Crash landing meanwhile cancels the boot context; nodes
+// that came up anyway are crashed once published (Start boots them with
+// the rest of the view).
+func (s *Sharded) publishBootedLocked(v *topoView, built []*node.Node) error {
+	s.mu.Lock()
+	up, ctx := s.up, s.startCtx
+	s.mu.Unlock()
+	var errs []error
+	if up {
+		for _, n := range built {
+			errs = append(errs, n.Start(ctx))
+		}
 	}
-	return ns.nodes[g]
+	s.publishLocked(v)
+	sealAll(v.topo, v)
+	s.mu.Lock()
+	up = s.up
+	s.mu.Unlock()
+	if !up {
+		for _, n := range built {
+			n.Crash()
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// grown copies v's node set, extended to at least n slots: the one place
+// the copy-on-write node set is copied.
+func (v *topoView) grown(n int) ([]*node.Node, []Storage) {
+	n = max(n, len(v.nodes))
+	nodes, stores := make([]*node.Node, n), make([]Storage, n)
+	copy(nodes, v.nodes)
+	copy(stores, v.stores)
+	return nodes, stores
+}
+
+// node returns group g's node, or an error naming why there is none.
+func (v *topoView) node(g GroupID) (*node.Node, error) {
+	if g < 0 || int(g) >= len(v.nodes) {
+		return nil, fmt.Errorf("abcast: group %v out of range [0,%d)", g, len(v.nodes))
+	}
+	if v.nodes[g] == nil {
+		return nil, fmt.Errorf("abcast: group %v retired and reaped", g)
+	}
+	return v.nodes[g], nil
 }
 
 // protoAt returns group g's live protocol (nil when reaped, unknown or
 // down).
-func (s *Sharded) protoAt(g GroupID) *core.Protocol {
-	n := s.nodeAt(g)
-	if n == nil {
+func (v *topoView) protoAt(g GroupID) *core.Protocol {
+	n, err := v.node(g)
+	if err != nil {
 		return nil
 	}
 	return n.Proto()
 }
 
-// ensureGroups builds and installs a node for every group the topology
-// knows that this process has none for — the heal path for a process that
-// slept through an AddGroup (crashed during the reshard, or recovering
-// with a stale persisted topology). New nodes are started asynchronously
-// when the process is up: this runs on delivery/gossip goroutines and a
-// node Start blocks through replay.
-func (s *Sharded) ensureGroups(t *group.Topology) {
-	type started struct {
-		n   *node.Node
-		ctx context.Context
-	}
-	var boot []started
-	s.mu.Lock()
-	ns := s.ns.Load()
-	maxG := len(ns.nodes)
-	for g := range t.Spans {
-		if int(g)+1 > maxG {
-			maxG = int(g) + 1
-		}
-	}
-	if maxG > len(ns.nodes) {
-		s.net.Grow(maxG)
-		grown := &nodeSet{nodes: make([]*node.Node, maxG), stores: make([]Storage, maxG)}
-		copy(grown.nodes, ns.nodes)
-		copy(grown.stores, ns.stores)
-		ns = grown
-	}
-	changed := maxG > len(s.ns.Load().nodes)
-	for g := range t.Spans {
-		if ns.nodes[g] != nil || s.reaped[g] {
-			continue
-		}
-		if sp := t.Spans[g]; sp.Sealed && s.stream.Drained(g) {
-			continue // fully drained before we ever hosted it: nothing to order
-		}
-		gst, n, err := s.buildGroup(g)
-		if err != nil {
-			s.flight().Event(obs.EvViolation, g, 0, 0, 0, "ensure group: "+err.Error())
-			continue
-		}
-		ns.nodes[g], ns.stores[g] = n, gst
-		changed = true
-		if s.up {
-			boot = append(boot, started{n: n, ctx: s.startCtx})
-		}
-		if s.tuner != nil {
-			s.tuner.AddGroup(node.TuneGroup(n))
-		}
-	}
-	if changed {
-		s.ns.Store(ns)
-	}
-	s.mu.Unlock()
-	for _, b := range boot {
-		go func(b started) {
-			if err := b.n.Start(b.ctx); err != nil {
-				return // already-up or crashed-meanwhile: the next Start heals
-			}
-			s.applySeals()
-			s.mu.Lock()
-			up := s.up
-			s.mu.Unlock()
-			if !up {
-				b.n.Crash() // the process crashed while we were booting
-			}
-		}(b)
-	}
-}
-
-// applySeals re-applies the topology's seals to the live protocol
-// incarnations. A protocol is a per-incarnation object: a crash between a
-// SEAL marker's delivery and the drain loses the in-memory seal, and the
-// replaying incarnation re-delivers the marker into a stream that already
-// knows it (inert), so the sharded layer re-arms the seal explicitly after
-// every boot.
-func (s *Sharded) applySeals() {
-	t := s.stream.Topology()
+// sealAll seals, among v's live protocols, every group t seals. A protocol
+// is a per-incarnation object: a crash between a SEAL marker's delivery and
+// the drain loses the in-memory seal, and the replaying incarnation
+// re-delivers the marker into a stream that already knows it (inert), so
+// the seals are re-armed after every boot. Protocol.Seal is idempotent.
+func sealAll(t *group.Topology, v *topoView) {
 	for g, sp := range t.Spans {
 		if !sp.Sealed {
 			continue
 		}
-		if p := s.protoAt(g); p != nil {
+		if p := v.protoAt(g); p != nil {
 			p.Seal(sp.Final)
 		}
 	}
@@ -795,26 +818,18 @@ func (s *Sharded) fdView(g GroupID) fd.API {
 	return s.sfd.View(g)
 }
 
-// epochStore returns the store holding the process-level cells (the
-// incarnation counter, the persisted topology, the reaped set): the shared
-// store, or — in a per-group-store deployment — group 0's store (the
-// cells' keys are namespaced so they cannot collide with the group's own
-// state; that store is pinned at construction and survives group 0's
-// retirement).
-func (s *Sharded) epochStore() Storage { return s.epochSt }
-
 // Groups returns the number of ordering groups ever hosted (GroupIDs are
 // dense and never reused, so this is max GroupID + 1; retired and even
 // reaped groups count).
-func (s *Sharded) Groups() int { return len(s.ns.Load().nodes) }
+func (s *Sharded) Groups() int { return len(s.view.Load().nodes) }
 
 // ActiveGroups returns the unsealed groups new keys may route to,
 // ascending.
-func (s *Sharded) ActiveGroups() []GroupID { return s.stream.Topology().Active() }
+func (s *Sharded) ActiveGroups() []GroupID { return s.view.Load().topo.Active() }
 
 // Epoch returns the topology epoch the live router was built under; it
 // bumps on every seal or join.
-func (s *Sharded) Epoch() uint64 { return s.router.Load().epoch }
+func (s *Sharded) Epoch() uint64 { return s.view.Load().topo.Epoch }
 
 // InTopology reports whether this process's topology knows group g — its
 // span is spliced into the global round numbering (sealed groups
@@ -823,7 +838,7 @@ func (s *Sharded) Epoch() uint64 { return s.router.Load().epoch }
 // an operator sequencing a retirement across processes should wait for
 // this before asking the process to retire g.
 func (s *Sharded) InTopology(g GroupID) bool {
-	_, ok := s.stream.Topology().Spans[g]
+	_, ok := s.view.Load().topo.Spans[g]
 	return ok
 }
 
@@ -833,19 +848,22 @@ func (s *Sharded) InTopology(g GroupID) bool {
 // On any failure every group is crashed again, so the process is either
 // fully up or fully down.
 func (s *Sharded) Start(ctx context.Context) error {
+	s.topoMu.Lock()
+	defer s.topoMu.Unlock()
 	s.mu.Lock()
 	if s.up {
 		s.mu.Unlock()
 		return fmt.Errorf("abcast: sharded process %v already up", s.cfg.PID)
 	}
 	s.up = true
+	ctx, s.cancelStart = context.WithCancel(ctx)
 	s.startCtx = ctx
 	s.mu.Unlock()
 
 	// The process-level liveness service comes up first so every group's
 	// consensus engine starts against a live oracle: one epoch log write
 	// and one heartbeat stream for the whole process.
-	epoch, err := node.NextProcEpoch(s.epochStore())
+	epoch, err := node.NextProcEpoch(s.epochSt)
 	if err != nil {
 		s.Crash()
 		return fmt.Errorf("abcast: sharded process %v: %w", s.cfg.PID, err)
@@ -873,16 +891,12 @@ func (s *Sharded) Start(ctx context.Context) error {
 		s.mu.Unlock()
 	}
 
-	// Splice in any groups a newer topology knows that this instance has
-	// no node for yet (a recovery that learned of a reshard through the
-	// persisted topology happens in NewSharded; this covers in-process
-	// crash/recover cycles that slept through a live AddGroup).
-	s.ensureGroups(s.stream.Topology())
-
-	ns := s.ns.Load()
-	errs := make([]error, len(ns.nodes))
+	// Topology transitions replayed here queue behind topoMu and install
+	// (booting any node they add) once every known group is up.
+	v := s.view.Load()
+	errs := make([]error, len(v.nodes))
 	var wg sync.WaitGroup
-	for g, n := range ns.nodes {
+	for g, n := range v.nodes {
 		if n == nil {
 			continue
 		}
@@ -901,7 +915,7 @@ func (s *Sharded) Start(ctx context.Context) error {
 	}
 	// Re-arm the retirement seals on the fresh incarnations (the stream
 	// outlives incarnations, the protocols do not).
-	s.applySeals()
+	sealAll(v.topo, v)
 	if s.tuner != nil {
 		s.tuner.Start()
 	}
@@ -917,12 +931,15 @@ func (s *Sharded) Crash() {
 	}
 	s.mu.Lock()
 	s.up = false
+	if s.cancelStart != nil {
+		s.cancelStart()
+	}
 	sfd := s.sfd
 	s.sfd = nil
 	sring := s.sring
 	s.sring = nil
 	s.mu.Unlock()
-	for _, n := range s.ns.Load().nodes {
+	for _, n := range s.view.Load().nodes {
 		if n != nil {
 			n.Crash() // each group unregisters its sink from the shared ring
 		}
@@ -938,7 +955,7 @@ func (s *Sharded) Crash() {
 // Up reports whether every (unreaped) group of the process is running.
 func (s *Sharded) Up() bool {
 	live := 0
-	for _, n := range s.ns.Load().nodes {
+	for _, n := range s.view.Load().nodes {
 		if n == nil {
 			continue
 		}
@@ -953,7 +970,7 @@ func (s *Sharded) Up() bool {
 // Route returns the group the live router places key on (the configured
 // Router, or the default consistent-hash ring over the currently active
 // groups).
-func (s *Sharded) Route(key []byte) GroupID { return s.router.Load().r.Route(key) }
+func (s *Sharded) Route(key []byte) GroupID { return s.view.Load().router.Route(key) }
 
 // FD returns the live process-level failure-detector view shared by every
 // group (nil when the process is down). All groups' facades read the same
@@ -974,29 +991,31 @@ func (s *Sharded) FD() fd.API {
 //
 // A broadcast in flight while its group is sealed for retirement is
 // bounced with ErrSealed; when the default router is in use the call
-// re-routes the key on the post-seal ring (the seal swapped the router
-// before the protocol started bouncing) and retries with a fresh message
-// identity, so callers only ever see ErrSealed with a custom Router that
-// keeps placing the key on the sealed group.
+// waits for the view carrying the seal, re-routes the key on its post-seal
+// ring and retries with a fresh message identity, so callers only ever see
+// ErrSealed with a custom Router that keeps placing the key on the sealed
+// group.
 func (s *Sharded) Broadcast(ctx context.Context, key, payload []byte) (GroupID, MsgID, error) {
 	last := GroupID(-1)
 	for {
-		g := s.router.Load().r.Route(key)
-		if err := s.checkGroup(g); err != nil {
-			return g, MsgID{}, fmt.Errorf("abcast: router returned unknown group %v (groups=%d)", g, s.Groups())
-		}
-		n := s.nodeAt(g)
-		if n == nil {
-			return g, MsgID{}, fmt.Errorf("abcast: router returned retired group %v", g)
+		v := s.view.Load()
+		g := v.router.Route(key)
+		n, err := v.node(g)
+		if err != nil {
+			return g, MsgID{}, fmt.Errorf("abcast: router: %w", err)
 		}
 		id, err := n.Broadcast(ctx, payload)
 		if !errors.Is(err, ErrSealed) || g == last {
 			return g, id, err
 		}
-		// Sealed under us: the topology moved and the router with it —
-		// re-route and retry. ErrSealed guarantees the message was NOT
-		// delivered, so the fresh identity cannot duplicate it. One equal
-		// re-route means the router is pinned (custom): surface the error.
+		// Sealed under us: the protocol seals before the view installs,
+		// so wait for the view carrying the seal, then re-route and retry.
+		// ErrSealed guarantees the message was NOT delivered, so the fresh
+		// identity cannot duplicate it. One equal re-route means the router
+		// is pinned (custom): surface the error.
+		if _, werr := s.awaitView(ctx, func(v *topoView) bool { return v.topo.Spans[g].Sealed }); werr != nil {
+			return g, id, err
+		}
 		last = g
 	}
 }
@@ -1004,12 +1023,9 @@ func (s *Sharded) Broadcast(ctx context.Context, key, payload []byte) (GroupID, 
 // BroadcastTo A-broadcasts payload on an explicitly chosen group. A sealed
 // group returns ErrSealed (the explicit choice is not re-routed).
 func (s *Sharded) BroadcastTo(ctx context.Context, g GroupID, payload []byte) (MsgID, error) {
-	if err := s.checkGroup(g); err != nil {
+	n, err := s.view.Load().node(g)
+	if err != nil {
 		return MsgID{}, err
-	}
-	n := s.nodeAt(g)
-	if n == nil {
-		return MsgID{}, fmt.Errorf("abcast: group %v retired", g)
 	}
 	return n.Broadcast(ctx, payload)
 }
@@ -1017,22 +1033,19 @@ func (s *Sharded) BroadcastTo(ctx context.Context, g GroupID, payload []byte) (M
 // BroadcastToAsync submits payload on group g without waiting for
 // ordering (open-loop load generation).
 func (s *Sharded) BroadcastToAsync(g GroupID, payload []byte) (MsgID, error) {
-	if err := s.checkGroup(g); err != nil {
+	n, err := s.view.Load().node(g)
+	if err != nil {
 		return MsgID{}, err
 	}
-	p := s.protoAt(g)
+	p := n.Proto()
 	if p == nil {
 		return MsgID{}, node.ErrDown
 	}
 	return p.BroadcastAsync(payload)
 }
 
-func (s *Sharded) checkGroup(g GroupID) error {
-	if n := s.Groups(); g < 0 || int(g) >= n {
-		return fmt.Errorf("abcast: group %v out of range [0,%d)", g, n)
-	}
-	return nil
-}
+// protoAt returns group g's live protocol in the published view.
+func (s *Sharded) protoAt(g GroupID) *core.Protocol { return s.view.Load().protoAt(g) }
 
 // Delivered reports whether id is in group g's delivery sequence.
 func (s *Sharded) Delivered(g GroupID, id MsgID) bool {
@@ -1056,7 +1069,7 @@ func (s *Sharded) Sequence(g GroupID) (Snapshot, []Delivery) {
 // stops at the process-wide merge frontier, so forcing checkpoints never
 // destroys rounds a merge consumer still needs.
 func (s *Sharded) CheckpointNow() error {
-	for g, n := range s.ns.Load().nodes {
+	for g, n := range s.view.Load().nodes {
 		if n == nil {
 			continue // reaped
 		}
@@ -1126,9 +1139,9 @@ func (s *Sharded) Merged() (merged []Delivery, from, rounds uint64, ok bool) {
 // fully decided, and the reap gate guarantees every consumer has already
 // passed its final round.
 func (s *Sharded) sequences() ([]group.Sequence, error) {
-	ns := s.ns.Load()
-	seqs := make([]group.Sequence, 0, len(ns.nodes))
-	for g, n := range ns.nodes {
+	v := s.view.Load()
+	seqs := make([]group.Sequence, 0, len(v.nodes))
+	for g, n := range v.nodes {
 		if n == nil {
 			continue // reaped
 		}
@@ -1230,9 +1243,9 @@ type ShardedStats struct {
 // Stats returns the per-group and rolled-up counters of the live process.
 // Reaped groups report zero counters.
 func (s *Sharded) Stats() ShardedStats {
-	ns := s.ns.Load()
-	st := ShardedStats{PerGroup: make([]Stats, len(ns.nodes))}
-	for g, n := range ns.nodes {
+	v := s.view.Load()
+	st := ShardedStats{PerGroup: make([]Stats, len(v.nodes))}
+	for g, n := range v.nodes {
 		if n == nil {
 			continue
 		}
@@ -1249,7 +1262,7 @@ func (s *Sharded) Stats() ShardedStats {
 		st.WALSyncs = sc.SyncCount()
 	} else if s.cfg.GroupStore != nil {
 		seen := make(map[syncCounter]bool)
-		for _, gst := range ns.stores {
+		for _, gst := range v.stores {
 			if gst == nil {
 				continue
 			}
@@ -1338,117 +1351,84 @@ func retiredNamespace(g GroupID) string {
 // other process splices its own member node in when the marker reaches it
 // (or when the floor gossip's topology descriptor does) — no call needed
 // there, including processes that were down during the reshard. The call
-// returns once the local topology includes the group and the local node
+// returns once the published view includes the group (Epoch, Route,
+// ActiveGroups, InTopology and Groups all reflect it) and the local node
 // is up; from that point the default router places ~1/G of the keyspace
 // on it.
 func (s *Sharded) AddGroup(ctx context.Context) (GroupID, error) {
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
 
+	s.topoMu.Lock()
+	gid, err := s.bootMemberLocked()
+	s.topoMu.Unlock()
+	if err != nil {
+		return gid, err
+	}
+
+	// Announce until the marker (ours or a peer's) is installed. A sealed
+	// anchor means a retirement raced the join: wait for the view carrying
+	// that seal and announce on the new anchor.
+	known := func(v *topoView) bool { _, ok := v.topo.Spans[gid]; return ok }
+	for {
+		v := s.view.Load()
+		if known(v) {
+			return gid, nil
+		}
+		anchor, ok := v.topo.Anchor()
+		if !ok {
+			return gid, fmt.Errorf("abcast: no active anchor group to order the join")
+		}
+		_, err := s.BroadcastTo(ctx, anchor, group.EncodeJoinMarker(gid))
+		switch {
+		case err == nil:
+			// Delivered locally; the install trails the commit.
+			_, err = s.awaitView(ctx, known)
+			return gid, err
+		case errors.Is(err, ErrSealed):
+			if _, err := s.awaitView(ctx, func(v *topoView) bool { return known(v) || v.topo.Spans[anchor].Sealed }); err != nil {
+				return gid, err
+			}
+		case ctx.Err() != nil:
+			return gid, ctx.Err()
+		default:
+			return gid, fmt.Errorf("abcast: announce join of %v: %w", gid, err)
+		}
+	}
+}
+
+// bootMemberLocked mints the next GroupID and builds, boots and publishes
+// this process's member node for it, so the group can order the moment its
+// JOIN marker lands. topoMu held.
+func (s *Sharded) bootMemberLocked() (GroupID, error) {
 	s.mu.Lock()
 	up := s.up
 	s.mu.Unlock()
 	if !up {
 		return 0, fmt.Errorf("abcast: sharded process %v is down", s.cfg.PID)
 	}
-
-	// The agreed new GroupID: one past every group ever hosted. Serialized
-	// resharding makes this the same number at every process.
-	gid := GroupID(s.Groups())
-	if sp := s.stream.Topology().Spans; len(sp) > int(gid) {
-		for g := range sp {
-			if g >= gid {
-				gid = g + 1
-			}
-		}
+	// The agreed new GroupID: one past every group ever hosted or
+	// announced. Serialized resharding makes this the same number at every
+	// process.
+	v := s.view.Load()
+	gid := GroupID(len(v.nodes))
+	for g := range s.stream.Topology().Spans {
+		gid = max(gid, g+1)
 	}
 	s.net.Grow(int(gid) + 1)
-
-	// Build, install and boot the local member node before announcing:
-	// the group must be able to order the moment the marker lands.
-	s.mu.Lock()
-	ns := s.ns.Load()
-	if int(gid) >= len(ns.nodes) {
-		grown := &nodeSet{nodes: make([]*node.Node, gid+1), stores: make([]Storage, gid+1)}
-		copy(grown.nodes, ns.nodes)
-		copy(grown.stores, ns.stores)
-		ns = grown
+	nodes, stores := v.grown(int(gid) + 1)
+	gst, n, err := s.buildGroup(gid)
+	if err != nil {
+		return gid, err
 	}
-	n := ns.nodes[gid]
-	if n == nil {
-		gst, built, err := s.buildGroup(gid)
-		if err != nil {
-			s.mu.Unlock()
-			return gid, err
-		}
-		n = built
-		ns.nodes[gid], ns.stores[gid] = n, gst
-		s.ns.Store(ns)
-		if s.tuner != nil {
-			s.tuner.AddGroup(node.TuneGroup(n))
-		}
-	}
-	bootCtx := s.startCtx
-	s.mu.Unlock()
-	if !n.Up() {
-		// Boot under the process's Start context, not the caller's: the
-		// node outlives this call, and a caller timeout must not take the
-		// freshly minted group's incarnation down with it.
-		if err := n.Start(bootCtx); err != nil {
-			return gid, fmt.Errorf("abcast: start group %v: %w", gid, err)
-		}
-	}
-
-	// Announce until the marker (ours or a peer's) lands. A sealed anchor
-	// means a retirement raced the join: re-read the topology for the new
-	// anchor and announce there.
-	for {
-		if _, known := s.stream.Topology().Spans[gid]; known {
-			break
-		}
-		anchor, ok := s.stream.Topology().Anchor()
-		if !ok {
-			return gid, fmt.Errorf("abcast: no active anchor group to order the join")
-		}
-		_, err := s.BroadcastTo(ctx, anchor, group.EncodeJoinMarker(gid))
-		if err == nil || errors.Is(err, ErrSealed) {
-			// Delivered locally (the broadcast waits for it) or bounced
-			// by a racing seal; either way re-check the topology.
-			if _, known := s.stream.Topology().Spans[gid]; known {
-				break
-			}
-			if errors.Is(err, ErrSealed) {
-				continue // pick the post-seal anchor
-			}
-			// Delivered but the topology hook lags the commit by a
-			// goroutine handoff: poll it in.
-			if err := s.awaitTopology(ctx, gid); err != nil {
-				return gid, err
-			}
-			break
-		}
-		if ctx.Err() != nil {
-			return gid, ctx.Err()
-		}
-		return gid, fmt.Errorf("abcast: announce join of %v: %w", gid, err)
+	nodes[gid], stores[gid] = n, gst
+	// The boot runs under the process's Start context, not the caller's:
+	// the node outlives this call, and a caller timeout must not take the
+	// freshly minted group's incarnation down with it.
+	if err := s.publishBootedLocked(s.newView(v, v.topo, nodes, stores), []*node.Node{n}); err != nil {
+		return gid, fmt.Errorf("abcast: start group %v: %w", gid, err)
 	}
 	return gid, nil
-}
-
-// awaitTopology polls until the local topology knows g.
-func (s *Sharded) awaitTopology(ctx context.Context, g GroupID) error {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		if _, known := s.stream.Topology().Spans[g]; known {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
 }
 
 // RetireGroup drains ordering group g out of the live deployment. Every
@@ -1470,19 +1450,16 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
 
-	if err := s.checkGroup(g); err != nil {
+	v := s.view.Load()
+	if _, err := v.node(g); err != nil {
 		return err
 	}
-	if s.nodeAt(g) == nil {
-		return fmt.Errorf("abcast: group %v already retired and reaped", g)
-	}
-	topo := s.stream.Topology()
-	sp, known := topo.Spans[g]
+	sp, known := v.topo.Spans[g]
 	if !known {
 		return fmt.Errorf("abcast: group %v not in the topology", g)
 	}
 	if !sp.Sealed {
-		if len(topo.Active()) <= 1 {
+		if len(v.topo.Active()) <= 1 {
 			return fmt.Errorf("abcast: cannot retire the last active group %v", g)
 		}
 		if _, err := s.BroadcastTo(ctx, g, group.EncodeSealMarker(s.drainWindow())); err != nil && !errors.Is(err, ErrSealed) {
@@ -1490,6 +1467,9 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 			// drain cut our waiter) — the group IS sealed.
 			return fmt.Errorf("abcast: announce seal of %v: %w", g, err)
 		}
+	}
+	if _, err := s.awaitView(ctx, func(v *topoView) bool { return v.topo.Spans[g].Sealed }); err != nil {
+		return err
 	}
 
 	// Wait for the drain through the stream, not the protocol: the stream
@@ -1507,9 +1487,9 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	}
 	drainNS := time.Since(start).Nanoseconds()
 
-	topo = s.stream.Topology()
-	sp = topo.Spans[g]
-	p := s.protoAt(g)
+	v = s.view.Load()
+	sp = v.topo.Spans[g]
+	p := v.protoAt(g)
 	if p == nil {
 		return fmt.Errorf("abcast: group %v is down; recover and retry", g)
 	}
@@ -1525,8 +1505,8 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 		if group.IsMarker(m.Payload) {
 			continue
 		}
-		succ := s.orphanSuccessor(topo, m.Payload)
-		spProto := s.protoAt(succ)
+		succ := v.orphanSuccessor(m.Payload)
+		spProto := v.protoAt(succ)
 		if spProto == nil {
 			return fmt.Errorf("abcast: successor group %v is down; recover and retry", succ)
 		}
@@ -1542,12 +1522,11 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	// WAL engine this rides the compactor's live-state rewrite (the
 	// export enumerates exactly the live index) and lands as ordinary
 	// writes the next commit group fsyncs.
-	anchor, ok := topo.Anchor()
+	anchor, ok := v.topo.Anchor()
 	if !ok {
 		return fmt.Errorf("abcast: no active group to archive %v into", g)
 	}
-	ns := s.ns.Load()
-	src, dst := ns.stores[g], ns.stores[anchor]
+	src, dst := v.stores[g], v.stores[anchor]
 	if src != nil && dst != nil {
 		keys, bytes, err := storage.ExportNamespace(src, storage.NewPrefixed(dst, retiredNamespace(g)))
 		if err != nil {
@@ -1563,15 +1542,15 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 }
 
 // orphanSuccessor picks the active group an orphan payload is re-injected
-// into: the live router's placement when it lands on an active group, the
+// into: the view's router placement when it lands on an active group, the
 // anchor otherwise. Both are pure functions of (payload, topology), so
 // every process picks the same successor.
-func (s *Sharded) orphanSuccessor(topo *group.Topology, payload []byte) GroupID {
-	g := s.router.Load().r.Route(payload)
-	if sp, ok := topo.Spans[g]; ok && !sp.Sealed {
+func (v *topoView) orphanSuccessor(payload []byte) GroupID {
+	g := v.router.Route(payload)
+	if sp, ok := v.topo.Spans[g]; ok && !sp.Sealed {
 		return g
 	}
-	if anchor, ok := topo.Anchor(); ok {
+	if anchor, ok := v.topo.Anchor(); ok {
 		return anchor
 	}
 	return g
@@ -1590,50 +1569,54 @@ func (s *Sharded) ReapRetired() int {
 }
 
 func (s *Sharded) reapLocked() int {
-	topo := s.stream.Topology()
+	v := s.view.Load()
 	seqs, err := s.sequences()
 	if err != nil {
 		return 0 // some group down: cannot assess the merge base
 	}
-	base := group.MergeBaseT(seqs, topo)
+	base := group.MergeBaseT(seqs, v.topo)
 	floor := s.floors.ClusterFloor(s.peers)
 	reaped := 0
-	for g, sp := range topo.Spans {
-		if !sp.Sealed || s.nodeAt(g) == nil || !s.stream.Drained(g) {
+	for g, sp := range v.topo.Spans {
+		if !sp.Sealed || v.protoAt(g) == nil || !s.stream.Drained(g) {
 			continue
 		}
 		final := sp.Offset + sp.Final
 		if base < final+1 || floor < final+1 {
 			continue
 		}
-		s.mu.Lock()
-		ns := s.ns.Load()
-		n, st := ns.nodes[g], ns.stores[g]
-		next := &nodeSet{nodes: make([]*node.Node, len(ns.nodes)), stores: make([]Storage, len(ns.stores))}
-		copy(next.nodes, ns.nodes)
-		copy(next.stores, ns.stores)
-		next.nodes[g], next.stores[g] = nil, nil
-		s.ns.Store(next)
-		s.reaped[g] = true
-		gs := make([]GroupID, 0, len(s.reaped))
-		for rg := range s.reaped {
-			gs = append(gs, rg)
-		}
-		s.mu.Unlock()
-		if err := s.epochSt.Put(keyReaped, encodeReaped(gs)); err != nil {
-			s.flight().Event(obs.EvViolation, g, 0, 0, 0, "persist reaped set: "+err.Error())
-		}
-		n.Crash()
-		if st != s.epochSt {
-			// The epoch store keeps the process-level cells; a hook
-			// deployment that gave group 0 that store skips the purge.
-			if _, err := storage.PurgeNamespace(st); err != nil {
-				s.flight().Event(obs.EvViolation, g, 0, 0, 0, "purge namespace: "+err.Error())
-			}
-		}
+		s.reap(g)
 		reaped++
 	}
 	return reaped
+}
+
+// reap drops drained group g from the view and the persisted node set,
+// then stops its node and purges its namespace.
+func (s *Sharded) reap(g GroupID) {
+	s.topoMu.Lock()
+	v := s.view.Load()
+	n, st := v.nodes[g], v.stores[g]
+	nodes, stores := v.grown(0)
+	nodes[g], stores[g] = nil, nil
+	s.publishLocked(s.newView(v, v.topo, nodes, stores))
+	s.reaped[g] = true
+	gs := make([]GroupID, 0, len(s.reaped))
+	for rg := range s.reaped {
+		gs = append(gs, rg)
+	}
+	if err := s.epochSt.Put(keyReaped, encodeReaped(gs)); err != nil {
+		s.flight().Event(obs.EvViolation, g, 0, 0, 0, "persist reaped set: "+err.Error())
+	}
+	s.topoMu.Unlock()
+	n.Crash()
+	if st != s.epochSt {
+		// The epoch store keeps the process-level cells; a hook
+		// deployment that gave group 0 that store skips the purge.
+		if _, err := storage.PurgeNamespace(st); err != nil {
+			s.flight().Event(obs.EvViolation, g, 0, 0, 0, "purge namespace: "+err.Error())
+		}
+	}
 }
 
 // addDrain/addOrphans/addMigrated are nil-safe metric helpers.

@@ -1,8 +1,9 @@
 // Package repro_test hosts the benchmark harness: one testing.B benchmark
-// per experiment in DESIGN.md §3. Each benchmark runs its experiment at
-// Quick scale per iteration, so `go test -bench=. -benchmem` regenerates
-// (small-scale versions of) every table; `cmd/abcast-bench` produces the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// per experiment of internal/experiments (its package doc maps E1–E10 to
+// the paper's claims). Each benchmark runs its experiment at Quick scale
+// per iteration, so `go test -bench=. -benchmem` regenerates (small-scale
+// versions of) every table; `cmd/abcast-bench` produces the full-scale
+// numbers the README sections quote.
 package repro_test
 
 import (

@@ -1,5 +1,5 @@
-// Command abcast-bench runs the reproduction experiments (E1–E10 in
-// DESIGN.md, plus the E11–E13 ablations, the E14 pipeline/batching
+// Command abcast-bench runs the reproduction experiments (E1–E10, mapped
+// to the paper's claims in the internal/experiments package doc, plus the E11–E13 ablations, the E14 pipeline/batching
 // shootout over both the simulated LAN and a TCP loopback transport, the
 // E15 group-commit-WAL-versus-sync-per-write storage comparison, the E16
 // sharded multi-group ordering scaling study, the E17 shared-process-
@@ -13,8 +13,8 @@
 // adaptive batching/pipeline/group-commit knobs against both static
 // extremes through a phase-shifting workload — and the E22 elastic-
 // resharding study: a live G=2->4 scale-out and live retirement under
-// closed-loop load) and prints their tables. EXPERIMENTS.md is generated
-// from its full-scale output; BENCH_e19.json is generated with -e19json,
+// closed-loop load) and prints their tables. The README sections quote
+// its full-scale output; BENCH_e19.json is generated with -e19json,
 // BENCH_e20.json with -e20json, BENCH_e21.json with -e21json and
 // BENCH_e22.json with -e22json.
 //
@@ -23,7 +23,7 @@
 //	abcast-bench                 # run everything at full scale
 //	abcast-bench -quick          # small sizes (seconds, CI-friendly)
 //	abcast-bench -exp E4,E5      # a subset
-//	abcast-bench -md             # markdown tables (for EXPERIMENTS.md)
+//	abcast-bench -md             # markdown tables
 //	abcast-bench -e19json PATH   # write the E19 latency trajectory JSON
 //	abcast-bench -e20json PATH   # write the E20 dissemination sweep JSON
 //	abcast-bench -e21json PATH   # write the E21 autotuning phase-shift JSON

@@ -116,6 +116,8 @@ type Protocol struct {
 	recoveredFromCkpt  atomic.Bool
 	recoveredUnordered atomic.Int64
 
+	// ctx is the incarnation's lifetime, fixed at New so that a Broadcast
+	// racing Start never reads it half-set; Start ties it to its context.
 	ctx     context.Context
 	cancel  context.CancelFunc
 	wake    chan struct{} // capacity 1: pokes the sequencer
@@ -160,6 +162,7 @@ func New(cfg Config, st storage.Stable, cons consensus.API, net router.Net) *Pro
 		ckptCh:         make(chan struct{}, 1),
 		maxDepth:       maxDepth,
 	}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	p.liveDepth.Store(int32(depth))
 	p.liveBatchDelay.Store(int64(cfg.MaxBatchDelay))
 	return p
@@ -178,7 +181,7 @@ func (p *Protocol) Start(ctx context.Context) error {
 	p.started = true
 	p.mu.Unlock()
 
-	p.ctx, p.cancel = context.WithCancel(ctx)
+	context.AfterFunc(ctx, p.cancel)
 
 	if err := p.recover(); err != nil {
 		return err
@@ -205,9 +208,7 @@ func (p *Protocol) Stop() {
 	p.mu.Lock()
 	p.stopped = true
 	p.mu.Unlock()
-	if p.cancel != nil {
-		p.cancel()
-	}
+	p.cancel()
 	p.wg.Wait()
 }
 

@@ -65,6 +65,18 @@ func TestBroadcastAfterStopFails(t *testing.T) {
 	}
 }
 
+// TestBroadcastBeforeStart: a node publishes its protocol before calling
+// Start, so a Broadcast can arrive first; it must wait like any other (here
+// until the caller's deadline) instead of reading an unset context.
+func TestBroadcastBeforeStart(t *testing.T) {
+	p, _, _ := newTestProtocol(Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := p.Broadcast(ctx, []byte("early")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v; want the caller's deadline", err)
+	}
+}
+
 func TestBatchedBroadcastLogsBeforeReturn(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{BatchedBroadcast: true})
 	p.ctx, p.cancel = context.WithCancel(context.Background())

@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction suite: one function per
-// experiment in DESIGN.md §3 (E1–E10), each quantifying a claim of the
-// paper and returning a printable table, plus the E11–E13 ablations, the
+// experiment E1–E10, each quantifying a claim of the paper and returning a
+// printable table, plus the E11–E13 ablations, the
 // E14 round-pipeline/adaptive-batching shootout (simulated LAN and TCP
 // loopback), and the E15 group-commit WAL storage comparison.
 // cmd/abcast-bench runs them all; bench_test.go wraps them as Go
@@ -31,7 +31,7 @@ import (
 type Scale int
 
 // Scales: Quick runs in a few seconds (CI / go test); Full produces the
-// EXPERIMENTS.md numbers.
+// numbers the README sections and BENCH_e*.json files quote.
 const (
 	Quick Scale = iota + 1
 	Full

@@ -56,7 +56,7 @@ const noRound = math.MaxUint64
 // keeps serving across crash/recover cycles of the groups feeding it.
 type Stream struct {
 	mu      sync.Mutex
-	topo    *Topology
+	topo    *Topology     // immutable: a transition installs a modified copy
 	sorted  []ids.GroupID // cache of topo.Groups()
 	decided map[ids.GroupID]uint64
 	durable map[ids.GroupID]uint64       // last checkpointed round per group
@@ -95,11 +95,13 @@ func (s *Stream) Groups() int {
 	return len(s.topo.Spans)
 }
 
-// Topology returns a copy of the current topology.
+// Topology returns the current topology. The Stream never mutates a
+// topology once installed (transitions are copy-on-write), so the result
+// is a stable snapshot; callers must not mutate it either.
 func (s *Stream) Topology() *Topology {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.topo.Clone()
+	return s.topo
 }
 
 // Epoch returns the current topology epoch.
@@ -109,9 +111,10 @@ func (s *Stream) Epoch() uint64 {
 	return s.topo.Epoch
 }
 
-// SetOnTopology registers a hook invoked (with a private copy, outside the
-// stream lock) after every topology transition — the sharded layer uses it
-// to persist the topology and swap the router ring.
+// SetOnTopology registers a hook invoked (with the new immutable topology,
+// outside the stream lock) after every topology transition — the sharded
+// layer uses it to persist the topology and swap the router ring. Hooks of
+// concurrent transitions may run out of epoch order.
 func (s *Stream) SetOnTopology(fn func(*Topology)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -175,11 +178,7 @@ func (s *Stream) NoteRound(g ids.GroupID, round uint64, deliveries []core.Delive
 	}
 	s.mu.Lock()
 	topoChanged := s.noteRoundLocked(g, round, deliveries)
-	var snap *Topology
-	var cb func(*Topology)
-	if topoChanged {
-		snap, cb = s.topo.Clone(), s.onTopo
-	}
+	snap, cb := s.topo, s.onTopo
 	s.mu.Unlock()
 	if topoChanged && cb != nil {
 		cb(snap)
@@ -201,13 +200,15 @@ func (s *Stream) noteRoundLocked(g ids.GroupID, round uint64, deliveries []core.
 	// agreed sequence IS the coordination.
 	changed := false
 	for _, d := range deliveries {
-		if w, ok := DecodeSealMarker(d.Msg.Payload); ok {
-			if s.topo.ApplySeal(g, round, w) {
-				changed = true
-			}
-		} else if ng, ok := DecodeJoinMarker(d.Msg.Payload); ok {
-			if s.topo.ApplyJoin(g, round, ng) {
-				changed = true
+		w, seal := DecodeSealMarker(d.Msg.Payload)
+		ng, join := DecodeJoinMarker(d.Msg.Payload)
+		if !seal && !join {
+			continue
+		}
+		next := s.topo.Clone()
+		if seal && next.ApplySeal(g, round, w) || join && next.ApplyJoin(g, round, ng) {
+			s.topo, changed = next, true
+			if join {
 				s.spliceLocked(ng)
 			}
 		}
@@ -259,14 +260,15 @@ func (s *Stream) NoteSkip(g ids.GroupID, nextRound uint64) {
 // floor-gossip descriptor): a process whose state transfer skipped the
 // marker rounds resynchronizes its epoch here. Older or equal epochs are
 // ignored. The topology is a pure function of the agreed markers, so any
-// two descriptors with one epoch are identical.
+// two descriptors with one epoch are identical. The Stream keeps t itself:
+// the caller must not mutate it afterwards.
 func (s *Stream) AdoptTopology(t *Topology) bool {
 	s.mu.Lock()
 	if t == nil || t.Epoch <= s.topo.Epoch {
 		s.mu.Unlock()
 		return false
 	}
-	s.topo = t.Clone()
+	s.topo = t
 	s.sorted = s.topo.Groups()
 	// Splice any buffered groups the new topology legitimizes.
 	for g := range s.pending {
@@ -274,10 +276,10 @@ func (s *Stream) AdoptTopology(t *Topology) bool {
 			s.spliceLocked(g)
 		}
 	}
-	snap, cb := s.topo.Clone(), s.onTopo
+	cb := s.onTopo
 	s.mu.Unlock()
 	if cb != nil {
-		cb(snap)
+		cb(t)
 	}
 	return true
 }
@@ -422,11 +424,11 @@ type Cursor struct {
 	stream *Stream
 
 	// All fields below are guarded by stream.mu.
-	start     uint64                     // first global round the cursor covers
-	emit      uint64                     // next global round to emit
-	next      map[ids.GroupID]uint64     // per group: next GLOBAL round to accept
+	start     uint64                                     // first global round the cursor covers
+	emit      uint64                                     // next global round to emit
+	next      map[ids.GroupID]uint64                     // per group: next GLOBAL round to accept
 	pend      map[ids.GroupID]map[uint64][]core.Delivery // keyed by global round
-	backlog   []roundEvent               // events buffered while seeding
+	backlog   []roundEvent                               // events buffered while seeding
 	seeded    bool
 	lagged    bool
 	lagDetail string // first gap observed, for diagnostics

@@ -587,9 +587,8 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 }
 
 // awaitSpliced waits until every up process's topology includes g AND its
-// auto-spliced member node has finished booting (ensureGroups boots the
-// node asynchronously on marker arrival; a retire that races the boot
-// would seal a group whose member is still calling Start).
+// auto-spliced member node is up (a retire that races the splice would
+// seal a group whose member is still calling Start).
 func awaitSpliced(ctx context.Context, procs []*abcast.Sharded, up []int, g ids.GroupID) error {
 	for {
 		all := true
@@ -618,7 +617,7 @@ func awaitSpliced(ctx context.Context, procs []*abcast.Sharded, up []int, g ids.
 // awaitKnown waits until one process's TOPOLOGY knows g (node-set size is
 // not enough: the shared network grows it early), its node set covers g,
 // and every node it hosts is up (the floor gossip's descriptor splices
-// late groups in; the boot is asynchronous).
+// late groups in).
 func awaitKnown(ctx context.Context, p *abcast.Sharded, g ids.GroupID) error {
 	for {
 		if p.InTopology(g) && p.Groups() > int(g) && p.Up() {

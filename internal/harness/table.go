@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// Table accumulates experiment rows and prints them fixed-width, the way
-// EXPERIMENTS.md records paper-versus-measured results.
+// Table accumulates experiment rows and prints them fixed-width (or as
+// markdown), the format abcast-bench reports paper-versus-measured
+// results in.
 type Table struct {
 	Title   string
 	Headers []string

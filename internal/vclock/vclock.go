@@ -30,10 +30,23 @@ import (
 	"repro/internal/wire"
 )
 
-// Key identifies one message stream: one sender incarnation.
+// Key identifies one message stream: one sender incarnation, split into
+// lanes by the top 16 bits of the sequence number. Native sequence numbers
+// live in lane 0. The sharded layer re-injects a retired group's orphans
+// under sequence numbers tagged in those bits; a lane of their own keeps
+// them from opening a 2^48-wide run of holes in lane 0.
 type Key struct {
 	Sender      ids.ProcessID
 	Incarnation uint32
+	Lane        uint16
+}
+
+// laneShift places the lane in a sequence number; seqs keep the bits below.
+const laneShift = 48
+
+// split returns id's stream and its sequence number within that lane.
+func split(id ids.MsgID) (Key, uint64) {
+	return Key{id.Sender, id.Incarnation, uint16(id.Seq >> laneShift)}, id.Seq & (1<<laneShift - 1)
 }
 
 // Clock is the coverage state. Use the VC alias; create with New.
@@ -58,20 +71,14 @@ func New() VC {
 // Covers reports whether the clock contains message id — exactly: true
 // iff id was observed (or is below the stream maximum with no hole).
 func (c *Clock) Covers(id ids.MsgID) bool {
-	k := Key{id.Sender, id.Incarnation}
-	if id.Seq > c.max[k] {
-		return false
-	}
-	_, hole := c.holes[k][id.Seq]
-	return !hole
+	return c.covered(split(id))
 }
 
 // Observe extends the clock to contain id. Observing above the stream
 // maximum records the skipped-over sequence numbers as holes; observing a
 // hole fills it.
 func (c *Clock) Observe(id ids.MsgID) {
-	k := Key{id.Sender, id.Incarnation}
-	seq := id.Seq
+	k, seq := split(id)
 	max := c.max[k]
 	if seq > max {
 		for s := max + 1; s < seq; s++ {
@@ -198,19 +205,25 @@ func (c *Clock) sortedKeys() []Key {
 		if keys[i].Sender != keys[j].Sender {
 			return keys[i].Sender < keys[j].Sender
 		}
-		return keys[i].Incarnation < keys[j].Incarnation
+		if keys[i].Incarnation != keys[j].Incarnation {
+			return keys[i].Incarnation < keys[j].Incarnation
+		}
+		return keys[i].Lane < keys[j].Lane
 	})
 	return keys
 }
 
-// Encode appends the clock to w deterministically.
+// Encode appends the clock to w deterministically. Sequence numbers are
+// written whole (lane bits included), so a clock with only lane-0 streams
+// encodes exactly as before lanes existed.
 func (c *Clock) Encode(w *wire.Writer) {
 	keys := c.sortedKeys()
 	w.U64(uint64(len(keys)))
 	for _, k := range keys {
+		lane := uint64(k.Lane) << laneShift
 		w.I64(int64(k.Sender))
 		w.U64(uint64(k.Incarnation))
-		w.U64(c.max[k])
+		w.U64(lane | c.max[k])
 		hs := c.holes[k]
 		sorted := make([]uint64, 0, len(hs))
 		for s := range hs {
@@ -219,7 +232,7 @@ func (c *Clock) Encode(w *wire.Writer) {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		w.U64(uint64(len(sorted)))
 		for _, s := range sorted {
-			w.U64(s)
+			w.U64(lane | s)
 		}
 	}
 }
@@ -236,10 +249,10 @@ func Decode(r *wire.Reader) VC {
 	}
 	c := &Clock{max: make(map[Key]uint64, capHint)}
 	for i := uint64(0); i < n; i++ {
-		var k Key
-		k.Sender = ids.ProcessID(r.I64())
-		k.Incarnation = uint32(r.U64())
-		c.max[k] = r.U64()
+		sender := ids.ProcessID(r.I64())
+		inc := uint32(r.U64())
+		k, max := split(ids.MsgID{Sender: sender, Incarnation: inc, Seq: r.U64()})
+		c.max[k] = max
 		hn := r.U64()
 		// hn is disk/attacker-controlled: every hole costs at least one
 		// encoded byte, so a count beyond the remaining buffer is
@@ -248,10 +261,11 @@ func Decode(r *wire.Reader) VC {
 			return nil
 		}
 		for j := uint64(0); j < hn; j++ {
-			c.addHole(k, r.U64())
-			if r.Err() != nil {
-				return nil
+			hk, h := split(ids.MsgID{Sender: sender, Incarnation: inc, Seq: r.U64()})
+			if r.Err() != nil || hk != k {
+				return nil // a hole outside its stream's lane is malformed
 			}
+			c.addHole(k, h)
 		}
 	}
 	return c

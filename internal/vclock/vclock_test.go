@@ -147,6 +147,35 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTaggedSeqOwnLane: a sequence number tagged in its top 16 bits (a
+// retired group's orphan, re-injected by the sharded layer) is its own
+// stream: observing it neither records the 2^48-wide gap below it as holes
+// nor disturbs the native lane, and it survives an encode round trip.
+func TestTaggedSeqOwnLane(t *testing.T) {
+	tagged := func(lane, seq uint64) ids.MsgID { return id(2, 1, lane<<48|seq) }
+	v := New()
+	for s := uint64(1); s <= 3; s++ {
+		v.Observe(id(2, 1, s))
+	}
+	v.Observe(tagged(6, 2))
+	v.Observe(id(2, 1, 4))
+	if !v.Covers(tagged(6, 2)) || !v.Covers(id(2, 1, 4)) {
+		t.Fatal("observed ids not covered")
+	}
+	if v.Covers(tagged(6, 1)) || v.Covers(tagged(6, 3)) || v.Covers(tagged(7, 2)) || v.Covers(id(2, 1, 5)) {
+		t.Fatal("clock covers ids never observed")
+	}
+	if got := len(v.holes[Key{2, 1, 6}]); got != 1 {
+		t.Fatalf("tagged lane holds %d holes; want 1", got)
+	}
+	w := wire.NewWriter(0)
+	v.Encode(w)
+	r := wire.NewReader(w.Bytes())
+	if got := Decode(r); r.Done() != nil || !got.Equal(v) {
+		t.Fatal("tagged lane lost in the round trip")
+	}
+}
+
 func TestEncodeIsDeterministic(t *testing.T) {
 	v := New()
 	v.Observe(id(2, 1, 9))
